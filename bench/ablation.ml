@@ -15,6 +15,8 @@
 
 module S = Storage.Stats
 
+let get = Obs.Scope.get
+
 let run () =
   Util.section "Ablations — Skippy skip index; snapshot page-cache size";
   let uw = Tpch.Workload.uw30 in
@@ -29,9 +31,9 @@ let run () =
     (fun sid ->
       let visited skippy =
         Retro.set_skippy retro skippy;
-        let s0 = S.copy S.global in
+        let s0 = get S.c_maplog_scanned in
         ignore (Retro.build_spt retro sid);
-        (S.diff (S.copy S.global) s0).S.maplog_scanned
+        get S.c_maplog_scanned - s0
       in
       let linear = visited false in
       let skip = visited true in
@@ -48,15 +50,15 @@ let run () =
   List.iter
     (fun pages ->
       Retro.set_cache_pages retro pages;
-      let s0 = S.copy S.global in
+      let hit0 = get S.c_snap_cache_hits and mis0 = get S.c_snap_cache_misses in
+      let pl0 = get S.c_pagelog_reads in
       let run =
         Rql.aggregate_data_in_variable ctx ~qs ~qq:Queries.qq_io ~table:"bench_abl" ~fn:"avg"
       in
-      let d = S.diff (S.copy S.global) s0 in
-      let hits = d.S.snap_cache_hits and misses = d.S.snap_cache_misses in
+      let hits = get S.c_snap_cache_hits - hit0 and misses = get S.c_snap_cache_misses - mis0 in
       Printf.printf "%-16d %12.4f %14d %13.1f%%\n" pages
         (Rql.Iter_stats.total_s run)
-        d.S.pagelog_reads
+        (get S.c_pagelog_reads - pl0)
         (100. *. float_of_int hits /. float_of_int (max 1 (hits + misses))))
     [ 64; 128; 256; 512; 4096 ];
   Retro.set_cache_pages retro Retro.default_cache_pages;

@@ -95,16 +95,9 @@ let test_parse =
   Test.make ~name:"sql.parse (Qq_agg)"
     (Staged.stage (fun () -> ignore (Sqldb.Parser.parse_one Queries.qq_agg)))
 
-let test_rewrite =
-  Test.make ~name:"rql.rewrite (Qq with current_snapshot)"
-    (Staged.stage (fun () ->
-         ignore
-           (Rql.Rewrite.rewrite
-              "SELECT DISTINCT l_userid, current_snapshot() AS sid FROM LoggedIn" ~sid:42)))
-
 let tests =
   [ test_encode; test_decode; test_page_insert; test_btree_lookup; test_btree_insert;
-    test_spt_build; test_snapshot_read; test_parse; test_rewrite ]
+    test_spt_build; test_snapshot_read; test_parse ]
 
 (* --- EXPLAIN ANALYZE smoke (bench --analyze) ---------------------------- *)
 
@@ -163,7 +156,7 @@ let run_analyze () =
           (a.Sqldb.Plan.a_elapsed_s *. 1e3) a.Sqldb.Plan.a_pages)
       r.Rql.rr_ops;
     Util.record_analysis ~label:"rql_run" (Rql.run_report_to_json r)
-  | None -> print_endline "no run report (Qq fell back to textual rewrite)"
+  | None -> print_endline "no run report"
 
 (* --- scoped-instrumentation smoke (bench --scope-smoke) ----------------- *)
 

@@ -65,17 +65,17 @@ let rules =
       why = "use a typed internal error that names the impossible state";
       paths = [];
       anchored = false };
-    (* The stats shims are views over the root metric scope: a fresh ref
-       or hash table there would be an independent mutable total the
-       scope tree cannot see, silently breaking scoped attribution. *)
+    (* The stats modules only name metric-scope handles: a fresh ref or
+       hash table there would be an independent mutable total the scope
+       tree cannot see, silently breaking scoped attribution. *)
     { rid = "stats-shadow-state";
       needle = "= " ^ "ref";
-      why = "stats shims hold no independent mutable totals; use an Obs.Scope handle";
+      why = "stats modules hold no independent mutable totals; use an Obs.Scope handle";
       paths = [ "lib/storage/stats.ml"; "lib/sql/exec_stats.ml" ];
       anchored = false };
     { rid = "stats-shadow-state";
       needle = "Hashtbl." ^ "create";
-      why = "stats shims hold no independent mutable totals; use an Obs.Scope handle";
+      why = "stats modules hold no independent mutable totals; use an Obs.Scope handle";
       paths = [ "lib/storage/stats.ml"; "lib/sql/exec_stats.ml" ];
       anchored = false };
     (* The engine core is shared across session domains: module-level

@@ -79,7 +79,18 @@ let print_help () =
      @meta SELECT CollateData(snap_id, 'SELECT ... current_snapshot() ...', 'T') FROM SnapIds;"
 
 let run_stats (ctx : Rql.ctx) =
-  Fmt.pr "%a@." Storage.Stats.pp Storage.Stats.global;
+  let module S = Storage.Stats in
+  let g = Obs.Scope.get in
+  Printf.printf
+    "db_page_reads=%d db_page_writes=%d\npagelog_reads=%d pagelog_writes=%d\n\
+     maplog_appends=%d maplog_scanned=%d\nsnap_cache hits=%d misses=%d\n\
+     pages_allocated=%d commits=%d aborts=%d cow_archived=%d\n\
+     wal_appends=%d wal_bytes=%d wal_fsyncs=%d\n"
+    (g S.c_db_page_reads) (g S.c_db_page_writes) (g S.c_pagelog_reads)
+    (g S.c_pagelog_writes) (g S.c_maplog_appends) (g S.c_maplog_scanned)
+    (g S.c_snap_cache_hits) (g S.c_snap_cache_misses) (g S.c_pages_allocated)
+    (g S.c_txn_commits) (g S.c_txn_aborts) (g S.c_cow_archived) (g S.c_wal_appends)
+    (g S.c_wal_bytes) (g S.c_wal_fsyncs);
   match Sqldb.Db.(ctx.Rql.data.retro) with
   | Some retro ->
     Printf.printf "snapshots=%d pagelog=%d pages (%.1f MB) maplog=%d entries\n"
@@ -370,8 +381,7 @@ let repl ctx =
            Printf.printf "run %d (%s) cancelled after %d iteration%s (.progress for details)\n"
              run_id mechanism iterations_done
              (if iterations_done = 1 then "" else "s")
-         | Rql.Monoid.Not_supported msg -> Printf.printf "error: %s\n" msg
-         | Rql.Rewrite.Error msg -> Printf.printf "error: %s\n" msg)
+         | Rql.Monoid.Not_supported msg -> Printf.printf "error: %s\n" msg)
      done
    with Exit -> ());
   print_endline "bye"

@@ -10,14 +10,14 @@ type iteration = {
   snap_id : int;
   cold : bool;                 (* first iteration of the run *)
   pagelog_reads : int;
-  db_reads : int;
+  db_reads : int;              (* data-database page reads made by the Qq *)
   cache_hits : int;
   cache_misses : int;
   io_s : float;                (* modeled: pagelog reads x device latency *)
   spt_build_s : float;
   spt_entries : int;           (* maplog entries scanned *)
   index_build_s : float;       (* automatic covering-index creation *)
-  query_eval_s : float;        (* Qq evaluation minus the other parts *)
+  query_eval_s : float;        (* measured Qq evaluation minus SPT and index build *)
   udf_s : float;               (* mechanism row processing (loop body) *)
   udf_rows : int;              (* Qq rows processed by the loop body *)
   udf_inserts : int;           (* result-table inserts *)

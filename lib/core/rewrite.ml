@@ -1,132 +1,16 @@
-(* Qq rewriting (paper §3).
+(* Qq binding (paper §3).
 
-   Before each iteration, the "loop body" rewrites the programmer's Qq,
-   binding it to the iteration's snapshot identifier:
-   - "AS OF <sid>" is injected after the first SELECT keyword, and
-   - every occurrence of current_snapshot() is replaced by the literal
-     snapshot id.
+   Before each iteration, the loop body binds the programmer's Qq to the
+   iteration's snapshot identifier: the Qq runs AS OF that snapshot, and
+   every occurrence of current_snapshot() evaluates to its id.  The
+   paper performs this as a textual rewrite; here it is done once on the
+   parsed Qq, which the loop prepares and then binds per iteration. *)
 
-   The paper performs this rewriting at the SQL-text level; so do we.
-   The scanner below is quote- and comment-aware so that string literals
-   containing "select" or "current_snapshot()" are left alone. *)
-
-exception Error of string
-
-let is_ident_char c =
-  (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_'
-
-(* Scan [sql] and return the spans (start, length) of every top-level
-   occurrence of identifier [word] (case-insensitive), skipping string
-   literals, quoted identifiers and comments. *)
-let ident_spans sql word =
-  let n = String.length sql in
-  let wl = String.length word in
-  let word = String.lowercase_ascii word in
-  let spans = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    let c = sql.[!i] in
-    if c = '\'' then begin
-      (* string literal: '' escapes *)
-      incr i;
-      let rec skip () =
-        if !i >= n then raise (Error "unterminated string literal in Qq")
-        else if sql.[!i] = '\'' then
-          if !i + 1 < n && sql.[!i + 1] = '\'' then begin
-            i := !i + 2;
-            skip ()
-          end
-          else incr i
-        else begin
-          incr i;
-          skip ()
-        end
-      in
-      skip ()
-    end
-    else if c = '"' then begin
-      incr i;
-      while !i < n && sql.[!i] <> '"' do incr i done;
-      incr i
-    end
-    else if c = '-' && !i + 1 < n && sql.[!i + 1] = '-' then begin
-      while !i < n && sql.[!i] <> '\n' do incr i done
-    end
-    else if c = '/' && !i + 1 < n && sql.[!i + 1] = '*' then begin
-      i := !i + 2;
-      while !i + 1 < n && not (sql.[!i] = '*' && sql.[!i + 1] = '/') do incr i done;
-      i := min n (!i + 2)
-    end
-    else if is_ident_char c then begin
-      let start = !i in
-      while !i < n && is_ident_char sql.[!i] do incr i done;
-      let len = !i - start in
-      (* a dot-qualified name (t.current_snapshot) is a different
-         identifier: substituting inside it would corrupt the query *)
-      let qualified = start > 0 && sql.[start - 1] = '.' in
-      if (not qualified) && len = wl && String.lowercase_ascii (String.sub sql start len) = word
-      then spans := (start, len) :: !spans
-    end
-    else incr i
-  done;
-  List.rev !spans
-
-(* Replace every call current_snapshot() with the literal [sid]. *)
-let substitute_current_snapshot sql ~sid =
-  let spans = ident_spans sql "current_snapshot" in
-  if spans = [] then sql
-  else begin
-    let buf = Buffer.create (String.length sql) in
-    let pos = ref 0 in
-    List.iter
-      (fun (start, len) ->
-        Buffer.add_substring buf sql !pos (start - !pos);
-        (* consume the trailing () if present *)
-        let after = ref (start + len) in
-        let n = String.length sql in
-        let skip_ws () = while !after < n && (sql.[!after] = ' ' || sql.[!after] = '\t' || sql.[!after] = '\n' || sql.[!after] = '\r') do incr after done in
-        skip_ws ();
-        if !after < n && sql.[!after] = '(' then begin
-          incr after;
-          skip_ws ();
-          if !after < n && sql.[!after] = ')' then begin
-            incr after;
-            Buffer.add_string buf (string_of_int sid);
-            pos := !after
-          end
-          else raise (Error "current_snapshot takes no arguments")
-        end
-        else begin
-          (* bare identifier use: also substitute *)
-          Buffer.add_string buf (string_of_int sid);
-          pos := start + len
-        end)
-      spans;
-    Buffer.add_substring buf sql !pos (String.length sql - !pos);
-    Buffer.contents buf
-  end
-
-(* Inject "AS OF <sid>" after the first top-level SELECT keyword. *)
-let inject_as_of sql ~sid =
-  match ident_spans sql "select" with
-  | [] -> raise (Error "Qq must be a SELECT statement")
-  | (start, len) :: _ ->
-    let insert_at = start + len in
-    String.sub sql 0 insert_at
-    ^ Printf.sprintf " AS OF %d" sid
-    ^ String.sub sql insert_at (String.length sql - insert_at)
-
-(* Full per-iteration rewrite, e.g. for sid = 5:
-     SELECT DISTINCT current_snapshot() FROM LoggedIn
-   becomes
-     SELECT AS OF 5 DISTINCT 5 FROM LoggedIn *)
-let rewrite sql ~sid = inject_as_of (substitute_current_snapshot sql ~sid) ~sid
-
-(* AST-level binding for the prepared path: the parsed Qq becomes a
-   parameterized statement — every current_snapshot() call (or bare
-   identifier use) becomes parameter 0, and AS OF ? is attached to the
-   outermost select — so the loop binds the snapshot id per iteration
-   instead of re-rewriting and re-parsing text. *)
+(* The parsed Qq becomes a parameterized statement — every
+   current_snapshot() call (or bare identifier use) becomes parameter 0,
+   and AS OF ? is attached to the outermost select — so the loop binds
+   the snapshot id per iteration instead of re-rewriting and re-parsing
+   text. *)
 let parameterize (sel : Sqldb.Ast.select) : Sqldb.Ast.select =
   let open Sqldb.Ast in
   let is_cs name = String.lowercase_ascii name = "current_snapshot" in

@@ -1,32 +1,10 @@
-(** Qq rewriting (paper §3): before each iteration the loop body binds
-    the programmer's Qq to the iteration's snapshot id by injecting
-    [AS OF <sid>] after the first SELECT keyword and replacing every
-    [current_snapshot()] call with the literal id.  Rewriting is
-    performed at the SQL-text level, as in the paper, with a quote- and
-    comment-aware scanner. *)
+(** Qq binding (paper §3): before each iteration the loop body binds the
+    programmer's Qq to the iteration's snapshot id, both as the AS OF
+    snapshot and as the value of every [current_snapshot()] call. *)
 
-exception Error of string
-
-(** Spans (offset, length) of top-level occurrences of identifier
-    [word], skipping strings, quoted identifiers and comments. *)
-val ident_spans : string -> string -> (int * int) list
-
-(** Replace every [current_snapshot()] call (and bare identifier use)
-    with the literal [sid]. *)
-val substitute_current_snapshot : string -> sid:int -> string
-
-(** Inject [AS OF sid] after the first top-level SELECT.
-    @raise Error if the statement is not a SELECT. *)
-val inject_as_of : string -> sid:int -> string
-
-(** Full per-iteration rewrite, e.g. for sid = 5:
-    ["SELECT DISTINCT current_snapshot() FROM LoggedIn"] becomes
-    ["SELECT AS OF 5 DISTINCT 5 FROM LoggedIn"]. *)
-val rewrite : string -> sid:int -> string
-
-(** AST-level binding for the prepared path: replace every
-    [current_snapshot()] call (or bare identifier use) with parameter 0
-    and attach [AS OF ?] to the outermost select, so the loop body binds
-    the snapshot id per iteration instead of re-rewriting and re-parsing
-    the Qq text. *)
+(** AST-level binding: replace every [current_snapshot()] call (or bare
+    unqualified identifier use) with parameter 0 and attach [AS OF ?] to
+    the outermost select, replacing any AS OF the Qq carries (analyzer
+    warning W106).  The loop prepares the result once and binds the
+    snapshot id per iteration. *)
 val parameterize : Sqldb.Ast.select -> Sqldb.Ast.select

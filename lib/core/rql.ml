@@ -2,9 +2,9 @@
 
    An RQL computation iterates over the snapshot set returned by a
    snapshot query Qs, and for each snapshot executes a "loop body" that
-   rewrites Qq (injecting AS OF and binding current_snapshot()), runs it
-   on that snapshot, and processes the result rows in a
-   mechanism-specific way:
+   binds Qq to the snapshot (AS OF and current_snapshot() both become
+   the snapshot id), runs it on that snapshot, and processes the result
+   rows in a mechanism-specific way:
 
    - CollateData(Qs, Qq, T)                    collect rows into T
    - AggregateDataInVariable(Qs, Qq, T, fn)    fold a single value
@@ -52,14 +52,13 @@ let mech_name = function
   | Agg_table _ -> "AggregateDataInTable"
   | Intervals -> "CollateDataIntoIntervals"
 
-(* Prepared-Qq state of a run: the Qq is parsed and parameterized once
-   (first iteration) and the compiled plan is then reused across the
-   snapshot loop; if the AST path cannot represent the Qq we fall back
-   to the legacy per-iteration textual rewrite. *)
-type prep_state =
-  | Prep_pending
-  | Prep_ready of Sq.Engine.prepared
-  | Prep_fallback
+(* A run's Qq, prepared on a data session of its own: the compiled plan
+   is reused across the snapshot loop, and the session's metric scope
+   sees nothing but the Qq's evaluations. *)
+type evaluator = {
+  e_db : Sq.Db.t;
+  e_prep : Sq.Engine.prepared;
+}
 
 type run_state = {
   kind : mech_kind;
@@ -68,7 +67,7 @@ type run_state = {
   data : Sq.Db.t;
   meta : Sq.Db.t;
   rs_analyze : bool; (* per-operator instrumentation for this run *)
-  mutable prepared : prep_state;
+  mutable evaluator : evaluator option; (* the inline (domain-1) evaluator *)
   (* Qq result hoisted out of the snapshot loop: when the optimizer
      classified the prepared plan as snapshot-invariant, the first
      iteration's rows are stashed here and every later iteration replays
@@ -111,37 +110,32 @@ type ctx = {
 
 let now = Unix.gettimeofday
 
-let stream_select db sql =
-  match Sq.Parser.parse_one sql with
-  | Sq.Ast.Select sel ->
-    let env = Sq.Exec.env_of_select db sel in
-    Sq.Exec.select_stream env sel
+let qq_key qq = "rql-qq:" ^ qq
+
+(* The one Qq binding path: parse the Qq, parameterize it (AS OF ? on
+   the outermost select, every current_snapshot() becomes parameter 0)
+   and prepare it on [db] under a stable plan-cache key; iterations then
+   bind the snapshot id as parameter 0. *)
+let prepare_qq db qq =
+  match Sq.Engine.parse qq with
+  | Sq.Ast.Select sel -> (
+    try Sq.Engine.prepare_select db ~key:(qq_key qq) (Rewrite.parameterize sel)
+    with Sq.Engine.Error msg -> error "Qq rejected: %s" msg)
   | _ -> error "Qq must be a SELECT statement"
+  | exception Sq.Engine.Error msg -> error "Qq rejected: %s" msg
 
-(* Parse and parameterize the Qq once per run, preparing it against the
-   data database under a stable plan-cache key; iterations then bind the
-   snapshot id as parameter 0.  Any failure on this path (beyond Qq not
-   being a SELECT, which is a user error either way) falls back to the
-   per-iteration textual rewrite so no previously-working Qq regresses. *)
-let qq_key (rs : run_state) = "rql-qq:" ^ rs.qq
+(* Open an evaluator on a fresh session of [data], inheriting its
+   optimizer setting; [analyze] instruments the session's plans. *)
+let open_evaluator ~analyze ~(data : Sq.Db.t) qq =
+  let db = Sq.Db.session data in
+  db.Sq.Db.optimize <- data.Sq.Db.optimize;
+  db.Sq.Db.analyze <- analyze;
+  match prepare_qq db qq with
+  | e_prep -> { e_db = db; e_prep }
+  | exception e ->
+    Sq.Db.close_session db;
+    raise e
 
-let qq_prepared (rs : run_state) =
-  match rs.prepared with
-  | Prep_ready p -> Some p
-  | Prep_fallback -> None
-  | Prep_pending -> (
-    try
-      match Sq.Engine.parse rs.qq with
-      | Sq.Ast.Select sel ->
-        let p = Sq.Engine.prepare_select rs.data ~key:(qq_key rs) (Rewrite.parameterize sel) in
-        rs.prepared <- Prep_ready p;
-        Some p
-      | _ -> error "Qq must be a SELECT statement"
-    with
-    | Error _ as e -> raise e
-    | _ ->
-      rs.prepared <- Prep_fallback;
-      None)
 
 let meta_env (rs : run_state) =
   match rs.env_meta with
@@ -443,8 +437,11 @@ let run_report_to_json (r : run_report) =
       ("iterations", Obs.Json.Int r.rr_iterations);
       ("ops", Obs.Json.List (List.map Sq.Plan.op_actual_to_json r.rr_ops)) ]
 
-(* The prepared Qq's cached plan, when present and fresh. *)
-let qq_plan (rs : run_state) = Sq.Engine.cached_plan rs.data ~key:(qq_key rs)
+(* The inline evaluator's cached Qq plan, when present and fresh. *)
+let qq_plan (rs : run_state) =
+  match rs.evaluator with
+  | Some ev -> Sq.Engine.cached_plan ev.e_db ~key:(qq_key rs.qq)
+  | None -> None
 
 (* Iterations that replayed a hoisted snapshot-invariant Qq result
    instead of re-evaluating it (sequential loop only). *)
@@ -495,7 +492,7 @@ let make_run ?(analyze = false) ~kind ~data ~meta ~qq ~table () =
     data;
     meta;
     rs_analyze = analyze;
-    prepared = Prep_pending;
+    evaluator = None;
     invariant_rows = None;
     t_start = now ();
     iterations = [];
@@ -520,147 +517,127 @@ let make_run ?(analyze = false) ~kind ~data ~meta ~qq ~table () =
     cur_updates = 0;
     rs_progress = None }
 
-(* A snapshot's Qq output evaluated ahead of its loop-body application
-   by a worker domain (the parallel AS OF reader pool).  The worker
-   evaluates inside a private metric scope confined to its domain, so
-   the per-iteration I/O counters here are exact even while other
-   workers run — the main domain's global-counter diffs would interleave
-   every concurrent evaluation. *)
+(* One snapshot's Qq output and its attributed evaluation cost; {!apply}
+   fills in the loop-body fields of [ev_cost]. *)
 type eval_result = {
   ev_header : string array;
   ev_rows : R.row list;
-  ev_pagelog_reads : int;
-  ev_db_reads : int;
-  ev_cache_hits : int;
-  ev_cache_misses : int;
-  ev_spt_entries : int;
-  ev_eval_s : float; (* wall-clock Qq evaluation time on the worker *)
+  ev_cost : Iter_stats.iteration;
 }
 
-let scope_counter sc name =
-  match List.assoc_opt name (Obs.Scope.metric_items sc) with
-  | Some (Obs.Metrics.M_counter c) -> Obs.Metrics.Counter.get c
-  | _ -> 0
-
-(* One RQL iteration over snapshot [sid].  [cold] empties the snapshot
-   page cache first (used by the all-cold baseline runs in §5.1).
-   With [eval] the Qq was already evaluated by a worker domain: only
-   the loop-body application runs here (in snapshot order, so results
-   are byte-identical to the sequential loop), and the iteration's I/O
-   attribution comes from the worker's own measurements. *)
-let step_body ?eval (rs : run_state) ~sid ~cold =
-  (* One timeseries sample per iteration, so sys_timeseries resolves the
-     inside of a snapshot loop rather than only statement boundaries. *)
-  Obs.Timeseries.tick ();
-  (match Sq.Db.(rs.data.retro) with
-  | Some retro when cold -> Retro.clear_cache retro
-  | _ -> ());
-  let stats0 = Storage.Stats.copy Storage.Stats.global in
-  let exec0 = Sq.Exec_stats.copy Sq.Exec_stats.global in
+(* Run [f] (an evaluation on [ev]'s session, returning its header and
+   rows) and attribute its cost from the deltas of the session scope's
+   local totals.  That scope sees nothing but this evaluator's Qq, and
+   is driven by one domain at a time, so the deltas are exact even while
+   other domains evaluate concurrently.  This is the one builder of
+   [Iter_stats.iteration]. *)
+let measured ev ~sid f =
+  let module S = Storage.Stats in
+  let module X = Sq.Exec_stats in
+  let sc = ev.e_db.Sq.Db.scope in
+  let c h = Obs.Scope.get_in sc h and g h = Obs.Scope.gauge_get_in sc h in
+  let pl0 = c S.c_pagelog_reads and db0 = c S.c_db_page_reads in
+  let hit0 = c S.c_snap_cache_hits and mis0 = c S.c_snap_cache_misses in
+  let scan0 = c S.c_maplog_scanned in
+  let spt0 = g X.g_spt_build_s and idx0 = g X.g_index_build_s in
   let t0 = now () in
-  let udf_s = ref 0. in
-  let udf_timed f =
-    let t = now () in
-    let r = f () in
-    udf_s := !udf_s +. (now () -. t);
+  let header, rows = f () in
+  let eval_s = now () -. t0 in
+  let pagelog_reads = c S.c_pagelog_reads - pl0 in
+  let spt_build_s = g X.g_spt_build_s -. spt0 in
+  let index_build_s = g X.g_index_build_s -. idx0 in
+  { ev_header = header;
+    ev_rows = rows;
+    ev_cost =
+      { Iter_stats.snap_id = sid;
+        cold = false;
+        pagelog_reads;
+        db_reads = c S.c_db_page_reads - db0;
+        cache_hits = c S.c_snap_cache_hits - hit0;
+        cache_misses = c S.c_snap_cache_misses - mis0;
+        io_s = float_of_int pagelog_reads *. !S.Cost_model.ssd_read_s;
+        spt_build_s;
+        spt_entries = c S.c_maplog_scanned - scan0;
+        index_build_s;
+        query_eval_s = Float.max 0. (eval_s -. spt_build_s -. index_build_s);
+        udf_s = 0.;
+        udf_rows = 0;
+        udf_inserts = 0;
+        udf_updates = 0 } }
+
+(* Evaluate the Qq over snapshot [sid], collecting the full row set. *)
+let eval_snapshot ev ~sid =
+  measured ev ~sid (fun () ->
+      let header, run = Sq.Engine.prepared_stream ~params:[| R.Int sid |] ev.e_prep in
+      let rows = ref [] in
+      run (fun row -> rows := row :: !rows);
+      (header, List.rev !rows))
+
+let evaluator (rs : run_state) =
+  match rs.evaluator with
+  | Some ev -> ev
+  | None ->
+    let ev = open_evaluator ~analyze:rs.rs_analyze ~data:rs.data rs.qq in
+    rs.evaluator <- Some ev;
+    ev
+
+let release (rs : run_state) =
+  Option.iter (fun ev -> Sq.Db.close_session ev.e_db) rs.evaluator;
+  rs.evaluator <- None
+
+(* Inline evaluation on the driving domain, with the snapshot-invariant
+   hoist: once the optimizer has classified the prepared plan as
+   snapshot-invariant, the first iteration's rows are replayed instead
+   of re-evaluated. *)
+let eval_inline (rs : run_state) ~sid =
+  let ev = evaluator rs in
+  match rs.invariant_rows with
+  | Some hoisted ->
+    Obs.Scope.incr c_invariant_reuses;
+    measured ev ~sid (fun () -> hoisted)
+  | None ->
+    let r = eval_snapshot ev ~sid in
+    if qq_invariant rs then rs.invariant_rows <- Some (r.ev_header, r.ev_rows);
     r
-  in
+
+(* The loop body proper: apply one snapshot's evaluated rows to the
+   result table, in snapshot order whichever loop evaluated them, and
+   record the iteration. *)
+let apply (rs : run_state) ~cold (r : eval_result) =
+  let sid = r.ev_cost.Iter_stats.snap_id in
+  let t0 = now () in
   let first = not rs.first_done in
   rs.cur_rows <- 0;
   rs.cur_inserts <- 0;
   rs.cur_updates <- 0;
-  let header, run_rows =
-    match eval with
-    | Some ev -> (ev.ev_header, fun f -> List.iter f ev.ev_rows)
-    | None -> (
-      match rs.invariant_rows with
-      | Some (h, rows) ->
-        (* Hoisted: the optimizer proved the Qq snapshot-invariant, so
-           replay the first iteration's rows instead of re-evaluating. *)
-        Obs.Scope.incr c_invariant_reuses;
-        (h, fun f -> List.iter f rows)
-      | None -> (
-        let header, run =
-          match qq_prepared rs with
-          | Some p -> Sq.Engine.prepared_stream ~params:[| R.Int sid |] p
-          | None -> stream_select rs.data (Rewrite.rewrite rs.qq ~sid)
-        in
-        if qq_invariant rs then begin
-          let acc = ref [] in
-          run (fun r -> acc := r :: !acc);
-          let rows = List.rev !acc in
-          rs.invariant_rows <- Some (header, rows);
-          (header, fun f -> List.iter f rows)
-        end
-        else (header, run)))
-  in
-  if first then udf_timed (fun () -> init_run rs header);
+  let each f = List.iter f r.ev_rows in
+  if first then init_run rs r.ev_header;
   (match rs.kind with
   | Agg_var _ ->
     let rows_seen = ref 0 in
-    run_rows (fun row -> udf_timed (fun () -> step_var rs ~rows_seen row));
-    udf_timed (fun () ->
-        Sq.Db.with_write_txn rs.meta (fun txn -> write_var_result rs txn))
+    each (step_var rs ~rows_seen);
+    Sq.Db.with_write_txn rs.meta (fun txn -> write_var_result rs txn)
   | Collate ->
     Sq.Db.with_write_txn rs.meta (fun txn ->
-        run_rows (fun row ->
-            udf_timed (fun () ->
-                rs.cur_rows <- rs.cur_rows + 1;
-                rs.cur_inserts <- rs.cur_inserts + 1;
-                ignore (Sq.Exec.insert_row_raw (meta_env rs) txn (table_exn rs) row))))
+        each (fun row ->
+            rs.cur_rows <- rs.cur_rows + 1;
+            rs.cur_inserts <- rs.cur_inserts + 1;
+            ignore (Sq.Exec.insert_row_raw (meta_env rs) txn (table_exn rs) row)))
   | Agg_table _ ->
-    Sq.Db.with_write_txn rs.meta (fun txn ->
-        run_rows (fun row -> udf_timed (fun () -> step_agg_table rs txn ~sid ~first row)))
+    Sq.Db.with_write_txn rs.meta (fun txn -> each (step_agg_table rs txn ~sid ~first))
   | Intervals ->
-    Sq.Db.with_write_txn rs.meta (fun txn ->
-        run_rows (fun row -> udf_timed (fun () -> step_intervals rs txn ~sid ~first row))));
-  if first then udf_timed (fun () -> post_first rs);
+    Sq.Db.with_write_txn rs.meta (fun txn -> each (step_intervals rs txn ~sid ~first)));
+  if first then post_first rs;
   rs.first_done <- true;
   rs.prev_sid <- sid;
   rs.last_sid <- Some sid;
-  let total = now () -. t0 in
-  let sd = Storage.Stats.diff (Storage.Stats.copy Storage.Stats.global) stats0 in
-  let ed = Sq.Exec_stats.diff (Sq.Exec_stats.copy Sq.Exec_stats.global) exec0 in
-  let io_s = Storage.Stats.Cost_model.io_seconds sd in
-  let other = ed.Sq.Exec_stats.spt_build_s +. ed.Sq.Exec_stats.index_build_s +. !udf_s in
   let it =
-    match eval with
-    | None ->
-      { Iter_stats.snap_id = sid;
-        cold = first || cold;
-        pagelog_reads = sd.Storage.Stats.pagelog_reads;
-        db_reads = sd.Storage.Stats.db_page_reads;
-        cache_hits = sd.Storage.Stats.snap_cache_hits;
-        cache_misses = sd.Storage.Stats.snap_cache_misses;
-        io_s;
-        spt_build_s = ed.Sq.Exec_stats.spt_build_s;
-        spt_entries = sd.Storage.Stats.maplog_scanned;
-        index_build_s = ed.Sq.Exec_stats.index_build_s;
-        query_eval_s = Float.max 0. (total -. other);
-        udf_s = !udf_s;
-        udf_rows = rs.cur_rows;
-        udf_inserts = rs.cur_inserts;
-        udf_updates = rs.cur_updates }
-    | Some ev ->
-      (* Worker-measured evaluation, main-measured application.  SPT
-         build and index-build time happen on the worker inside
-         [ev_eval_s]; the modeled I/O time comes from the worker's
-         exact read counters. *)
-      { Iter_stats.snap_id = sid;
-        cold = first || cold;
-        pagelog_reads = ev.ev_pagelog_reads;
-        db_reads = ev.ev_db_reads;
-        cache_hits = ev.ev_cache_hits;
-        cache_misses = ev.ev_cache_misses;
-        io_s = float_of_int ev.ev_pagelog_reads *. !Storage.Stats.Cost_model.ssd_read_s;
-        spt_build_s = 0.;
-        spt_entries = ev.ev_spt_entries;
-        index_build_s = 0.;
-        query_eval_s = ev.ev_eval_s;
-        udf_s = !udf_s;
-        udf_rows = rs.cur_rows;
-        udf_inserts = rs.cur_inserts;
-        udf_updates = rs.cur_updates }
+    { r.ev_cost with
+      Iter_stats.cold = first || cold;
+      udf_s = now () -. t0;
+      udf_rows = rs.cur_rows;
+      udf_inserts = rs.cur_inserts;
+      udf_updates = rs.cur_updates }
   in
   Obs.Trace.set_attrs
     [ ("cold", Obs.Trace.Bool it.Iter_stats.cold);
@@ -721,12 +698,24 @@ let cancel_check (rs : run_state) =
 
 let progress (rs : run_state) = rs.rs_progress
 
-let step ?eval (rs : run_state) ~sid ~cold =
+(* One RQL iteration over snapshot [sid]: [eval] yields the snapshot's
+   evaluated Qq (inline, or from a worker domain), which the loop body
+   then applies.  [cold] empties the snapshot page cache first (used by
+   the all-cold baseline runs in §5.1). *)
+let step (rs : run_state) ~sid ~cold eval =
   cancel_check rs;
   let body () =
     Obs.Trace.with_span ~name:"rql.iteration"
       ~attrs:[ ("snap_id", Obs.Trace.Int sid) ]
-      (fun () -> step_body ?eval rs ~sid ~cold)
+      (fun () ->
+        (* One timeseries sample per iteration, so sys_timeseries
+           resolves the inside of a snapshot loop rather than only
+           statement boundaries. *)
+        Obs.Timeseries.tick ();
+        (match Sq.Db.(rs.data.retro) with
+        | Some retro when cold -> Retro.clear_cache retro
+        | _ -> ());
+        apply rs ~cold (eval ()))
   in
   match rs.rs_progress with
   | None -> body ()
@@ -818,53 +807,14 @@ let snapshot_set (ctx : ctx) qs =
 
 (* --- parallel AS OF evaluation ----------------------------------------- *)
 
-(* Evaluate the Qq over one snapshot on a worker domain, collecting the
-   full row set.  [wdb] is the worker's private session (own plan cache
-   and prepared statement) over the shared data core.  The engine runs
-   every statement inside the session's metric scope, and that scope is
-   driven by exactly one domain, so diffing its local counters around
-   the evaluation gives the iteration's exact I/O attribution — the
-   global registry totals would interleave across concurrent domains. *)
-let eval_snapshot wdb prep (rs : run_state) sid =
-  let sc = wdb.Sq.Db.scope in
-  let c name = scope_counter sc name in
-  let plr0 = c "storage.pagelog_reads" in
-  let dbr0 = c "storage.db_page_reads" in
-  let hit0 = c "retro.snap_cache_hits" in
-  let mis0 = c "retro.snap_cache_misses" in
-  let spt0 = c "retro.maplog_scanned" in
-  let header = ref [||] in
-  let rows = ref [] in
-  let t0 = now () in
-  (* prepared_stream runs inside the session scope on its own; the
-     textual-rewrite fallback streams through Exec directly and needs
-     the scope installed here. *)
-  (match prep with
-  | Some p ->
-    let h, run = Sq.Engine.prepared_stream ~params:[| R.Int sid |] p in
-    header := h;
-    run (fun row -> rows := row :: !rows)
-  | None ->
-    Obs.Scope.with_scope sc (fun () ->
-        let h, run = stream_select wdb (Rewrite.rewrite rs.qq ~sid) in
-        header := h;
-        run (fun row -> rows := row :: !rows)));
-  { ev_header = !header;
-    ev_rows = List.rev !rows;
-    ev_pagelog_reads = c "storage.pagelog_reads" - plr0;
-    ev_db_reads = c "storage.db_page_reads" - dbr0;
-    ev_cache_hits = c "retro.snap_cache_hits" - hit0;
-    ev_cache_misses = c "retro.snap_cache_misses" - mis0;
-    ev_spt_entries = c "retro.maplog_scanned" - spt0;
-    ev_eval_s = now () -. t0 }
-
 (* The Domain-parallel snapshot loop: [domains] workers evaluate the Qq
    over disjoint snapshots concurrently (overlapping their archive-read
-   waits), while the main domain applies each evaluated row set through
-   the ordinary loop body in snapshot order.  Ordered application makes
-   the result table byte-identical to the sequential loop for every
-   mechanism — including order-sensitive ones like intervals — because
-   the loop body never observes a reordering.
+   waits), each on an evaluator of its own, while the main domain
+   applies each evaluated row set through the ordinary loop body in
+   snapshot order.  Ordered application makes the result table
+   byte-identical to the sequential loop for every mechanism — including
+   order-sensitive ones like intervals — because the loop body never
+   observes a reordering.
 
    Shared SPT caching is enabled for the duration of the run so workers
    re-reading the same declared snapshot share its table; the prior
@@ -878,42 +828,30 @@ let parallel_loop (rs : run_state) ~domains ~sids =
   let stop = ref false in
   let failure : exn option ref = ref None in
   let worker w () =
-    let wdb = Sq.Db.session rs.data in
-    Fun.protect
-      ~finally:(fun () -> Sq.Db.close_session wdb)
-      (fun () ->
-        (* Per-worker prepared Qq, mirroring [qq_prepared]'s fallback:
-           a Qq the rewriter cannot parameterize falls back to the
-           textual per-snapshot rewrite in [eval_snapshot]. *)
-        let prep =
-          try
-            match Sq.Engine.parse rs.qq with
-            | Sq.Ast.Select sel ->
-              Some (Sq.Engine.prepare_select wdb ~key:(qq_key rs) (Rewrite.parameterize sel))
-            | _ -> None
-          with
-          | Sq.Engine.Error _ | Rewrite.Error _ -> None
-        in
-        try
+    try
+      let ev = open_evaluator ~analyze:false ~data:rs.data rs.qq in
+      Fun.protect
+        ~finally:(fun () -> Sq.Db.close_session ev.e_db)
+        (fun () ->
           let i = ref w in
           while !i < n && not !stop do
-            let ev = eval_snapshot wdb prep rs arr.(!i) in
+            let r = eval_snapshot ev ~sid:arr.(!i) in
             (* lint: allow — producer/consumer handoff: Condition needs
                the raw mutex, and the section is two writes. *)
             Mutex.lock mu;
-            slots.(!i) <- Some ev;
+            slots.(!i) <- Some r;
             Condition.broadcast cv;
             Mutex.unlock mu;
             i := !i + domains
-          done
-        with e ->
-          (* lint: allow — failure publication under the raw condition
-             mutex; two writes, no I/O. *)
-          Mutex.lock mu;
-          if !failure = None then failure := Some e;
-          stop := true;
-          Condition.broadcast cv;
-          Mutex.unlock mu)
+          done)
+    with e ->
+      (* lint: allow — failure publication under the raw condition
+         mutex; two writes, no I/O. *)
+      Mutex.lock mu;
+      if !failure = None then failure := Some e;
+      stop := true;
+      Condition.broadcast cv;
+      Mutex.unlock mu
   in
   (match Sq.Db.(rs.data.retro) with
   | Some retro -> Retro.set_spt_cache retro true
@@ -952,11 +890,7 @@ let parallel_loop (rs : run_state) ~domains ~sids =
       | Some retro -> Retro.set_spt_cache retro false
       | None -> ())
     (fun () ->
-      Array.iteri
-        (fun i sid ->
-          let ev = wait_slot i in
-          step ~eval:ev rs ~sid ~cold:false)
-        arr)
+      Array.iteri (fun i sid -> step rs ~sid ~cold:false (fun () -> wait_slot i)) arr)
 
 (* --- public mechanisms -------------------------------------------------- *)
 
@@ -986,21 +920,13 @@ let run_mechanism ?(all_cold = false) ?(analyze = false) ?(domains = 1) ctx kind
          shared plan) are driven sequentially by construction. *)
       let loop () =
         if domains > 1 && (not all_cold) && not analyze then parallel_loop rs ~domains ~sids
-        else List.iter (fun sid -> step rs ~sid ~cold:all_cold) sids;
+        else
+          List.iter
+            (fun sid -> step rs ~sid ~cold:all_cold (fun () -> eval_inline rs ~sid))
+            sids;
         finish rs
       in
-      let run () =
-        if not analyze then loop ()
-        else begin
-          (* The Qq may already be cached from an earlier run: start the
-             accumulators at zero so the report covers exactly this run. *)
-          (match qq_plan rs with Some p -> Sq.Plan.reset_actuals p | None -> ());
-          let was = ctx.data.Sq.Db.analyze in
-          ctx.data.Sq.Db.analyze <- true;
-          Fun.protect ~finally:(fun () -> ctx.data.Sq.Db.analyze <- was) loop
-        end
-      in
-      match run () with
+      match Fun.protect ~finally:(fun () -> release rs) loop with
       | r ->
         Obs.Progress.finish pg Obs.Progress.Done;
         progress_event pg;
@@ -1059,7 +985,9 @@ let udf_step ctx kind ~qq ~table ~sid =
     | prev ->
       (* The statement was re-executed: the superseded run is complete. *)
       (match prev with
-      | Some old -> Option.iter (fun p -> Obs.Progress.finish p Obs.Progress.Done) old.rs_progress
+      | Some old ->
+        release old;
+        Option.iter (fun p -> Obs.Progress.finish p Obs.Progress.Done) old.rs_progress
       | None -> ());
       let rs = make_run ~kind ~data:ctx.data ~meta:ctx.meta ~qq ~table () in
       (match Sq.Db.(ctx.data.retro) with
@@ -1072,10 +1000,11 @@ let udf_step ctx kind ~qq ~table ~sid =
       Hashtbl.replace ctx.runs key rs;
       rs
   in
-  try step rs ~sid ~cold:false
+  try step rs ~sid ~cold:false (fun () -> eval_inline rs ~sid)
   with Cancelled _ as e ->
     (* Drop the run so a later invocation starts fresh rather than
        resuming a cancelled loop. *)
+    release rs;
     Hashtbl.remove ctx.runs key;
     raise e
 
@@ -1108,7 +1037,9 @@ let take_run ctx ~table =
   | Some (key, rs) ->
     Hashtbl.remove ctx.runs key;
     Option.iter (fun p -> Obs.Progress.finish p Obs.Progress.Done) rs.rs_progress;
-    Some (finish rs)
+    let run = finish rs in
+    release rs;
+    Some run
   | None -> None
 
 let int_arg name = function
@@ -1166,7 +1097,7 @@ let create ?data () =
   let ctx = { data; meta; runs = Hashtbl.create 8 } in
   register_udfs ctx;
   (* current_snapshot() is only meaningful inside a Qq: the loop body
-     substitutes it before execution.  A direct call is a usage error. *)
+     binds it before execution.  A direct call is a usage error. *)
   Sq.Engine.register_fn data "current_snapshot" (fun _ ->
       error "current_snapshot() is only valid inside an RQL Qq query");
   ctx

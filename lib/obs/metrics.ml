@@ -1,10 +1,9 @@
 (* Global metrics registry: named counters, gauges and log-scale latency
    histograms.
 
-   This registry is the single source of truth for the cost accounting
-   that used to live in ad-hoc mutable structs (Storage.Stats,
-   Sqldb.Exec_stats); those modules are now thin compatibility shims
-   over these metrics.  The engine is single-process and the hot paths
+   This registry is the single source of truth for the cost accounting;
+   Storage.Stats and Sqldb.Exec_stats only name handles on it (through
+   Obs.Scope).  The engine is single-process and the hot paths
    (per-page, per-row) increment a pre-looked-up counter, so an
    increment is exactly one mutable-field write — the same cost as the
    old struct fields. *)

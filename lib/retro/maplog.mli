@@ -58,7 +58,7 @@ val compact : t -> keep_from:int -> remap:(int -> int) -> int
 (** Scan the suffix for snapshot [snap_id], calling [f pid pl_off] for
     the first mapping of each page (pages beyond the declaration-time
     database size are skipped).  Returns the number of entries visited —
-    the SPT build cost, accumulated into {!Storage.Stats.global}. *)
+    the SPT build cost, charged to {!Storage.Stats.c_maplog_scanned}. *)
 val scan_from : t -> int -> f:(int -> int -> unit) -> int
 
 (** Total mappings appended. *)

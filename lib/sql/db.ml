@@ -138,13 +138,14 @@ let of_parts ~pager ~retro =
 
 (* Derive a fresh session over the same core: shared pages, snapshots,
    functions and schema generation; private plan cache, scope and
-   observability state.  Derived sessions charge a child scope named
-   after their id, so sys_scopes / sys_sessions attribute per-connection
-   load; the root session keeps the root scope (process-wide totals,
-   exactly the single-handle behavior). *)
+   observability state.  A derived session charges a child of [t]'s
+   scope named after its id, so sys_scopes / sys_sessions attribute
+   per-connection load and [t]'s scope still sees the session's work;
+   the root session keeps the root scope (process-wide totals, exactly
+   the single-handle behavior). *)
 let session t =
   let s = make_session t.core in
-  s.scope <- Obs.Scope.create (Printf.sprintf "session:%d" s.session_id);
+  s.scope <- Obs.Scope.create ~parent:t.scope (Printf.sprintf "session:%d" s.session_id);
   s
 
 let session_id t = t.session_id
@@ -156,11 +157,13 @@ let sessions t =
   List.map (fun si -> si.si_handle) ss
 
 (* Forget a derived session (a disconnected client); its plan cache and
-   counters drop out of sys_sessions. *)
+   counters drop out of sys_sessions, and its scope folds into its
+   parent's "(dropped)" bucket. *)
 let close_session t =
   locked_core t.core (fun () ->
       t.core.c_sessions <-
-        List.filter (fun si -> si.si_id <> t.session_id) t.core.c_sessions)
+        List.filter (fun si -> si.si_id <> t.session_id) t.core.c_sessions);
+  if not (Obs.Scope.is_root t.scope) then Obs.Scope.drop t.scope
 
 let generation t = t.core.c_generation
 

@@ -1,7 +1,7 @@
 (** Simulated block device backing the snapshot archive (Pagelog).
 
-    Reads and writes are counted into {!Stats.global} and converted to
-    modeled time by {!Stats.Cost_model}; see DESIGN.md for the
+    Reads and writes are counted by the {!Stats} counters and converted
+    to modeled time by {!Stats.Cost_model}; see DESIGN.md for the
     substitution rationale.  Blocks are page-sized and copied on append,
     so later mutation of the source buffer cannot corrupt the archive.
 

@@ -8,6 +8,8 @@ module P = Storage.Pager
 module Pg = Storage.Page
 module H = Storage.Heap
 module S = Storage.Stats
+
+let get = Obs.Scope.get
 module Spt = Retro.Spt
 
 let setup () =
@@ -60,12 +62,11 @@ let basic =
         let pager, retro, heap = setup () in
         insert pager heap [ "a" ];
         ignore (Retro.declare retro);
-        let s0 = S.copy S.global in
+        let c0 = get S.c_cow_archived in
         (* two updates to the same page within one epoch: one archive *)
         insert pager heap [ "b" ];
         insert pager heap [ "c" ];
-        let d = S.diff (S.copy S.global) s0 in
-        Alcotest.(check int) "one pre-state" 1 d.S.cow_archived);
+        Alcotest.(check int) "one pre-state" 1 (get S.c_cow_archived - c0));
     Alcotest.test_case "consecutive snapshots share unmodified pre-states" `Quick (fun () ->
         let pager, retro, heap = setup () in
         insert pager heap [ "a" ];
@@ -87,25 +88,22 @@ let basic =
         let s1 = Retro.declare retro in
         (* nothing modified since declaration: snapshot read must not
            touch the pagelog *)
-        let s0 = S.copy S.global in
+        let pl0 = get S.c_pagelog_reads and db0 = get S.c_db_page_reads in
         ignore (snapshot_contents retro heap s1);
-        let d = S.diff (S.copy S.global) s0 in
-        Alcotest.(check int) "no pagelog reads" 0 d.S.pagelog_reads;
-        Alcotest.(check bool) "db reads happened" true (d.S.db_page_reads > 0));
+        Alcotest.(check int) "no pagelog reads" 0 (get S.c_pagelog_reads - pl0);
+        Alcotest.(check bool) "db reads happened" true (get S.c_db_page_reads - db0 > 0));
     Alcotest.test_case "snapshot cache avoids repeated pagelog reads" `Quick (fun () ->
         let pager, retro, heap = setup () in
         insert pager heap [ "a" ];
         let s1 = Retro.declare retro in
         insert pager heap [ "b" ];
         Retro.clear_cache retro;
-        let s0 = S.copy S.global in
+        let pl0 = get S.c_pagelog_reads in
         ignore (snapshot_contents retro heap s1);
-        let d1 = S.diff (S.copy S.global) s0 in
-        Alcotest.(check bool) "first read hits pagelog" true (d1.S.pagelog_reads > 0);
-        let s0 = S.copy S.global in
+        let pl1 = get S.c_pagelog_reads in
+        Alcotest.(check bool) "first read hits pagelog" true (pl1 - pl0 > 0);
         ignore (snapshot_contents retro heap s1);
-        let d2 = S.diff (S.copy S.global) s0 in
-        Alcotest.(check int) "second read cached" 0 d2.S.pagelog_reads);
+        Alcotest.(check int) "second read cached" 0 (get S.c_pagelog_reads - pl1));
     Alcotest.test_case "pages created after declaration are excluded" `Quick (fun () ->
         let pager, retro, heap = setup () in
         insert pager heap [ "a" ];

@@ -107,7 +107,46 @@ let rollup_tests =
                 S.with_scope a (fun () -> S.incr h);
                 Alcotest.(check int) "a local" 2 (local_counter a "test.scope_switch");
                 Alcotest.(check int) "b local" 2 (local_counter b "test.scope_switch");
-                Alcotest.(check int) "root" 4 (S.get h)))) ]
+                Alcotest.(check int) "root" 4 (S.get h))));
+    Alcotest.test_case "gauge and histogram charges stay in their domain's scope" `Quick
+      (fun () ->
+        (* two domains, each under its own scope, charge the same handles
+           concurrently: each scope must see exactly its own domain's
+           work (a shared chain cache would misroute charges between
+           the two scopes) *)
+        let c = S.counter "test.domains_counter" in
+        let g = S.gauge "test.domains_gauge" in
+        let h = S.histogram "test.domains_latency" in
+        let n = 200_000 in
+        with_child "domain-a" (fun a ->
+            with_child "domain-b" (fun b ->
+                let work sc () =
+                  S.with_scope sc (fun () ->
+                      for _ = 1 to n do
+                        S.incr c;
+                        S.gauge_add g 1.0;
+                        S.observe h 1e-3
+                      done)
+                in
+                let da = Domain.spawn (work a) and db = Domain.spawn (work b) in
+                Domain.join da;
+                Domain.join db;
+                List.iter
+                  (fun sc ->
+                    let items = S.metric_items sc in
+                    let name = S.scope_name sc in
+                    Alcotest.(check int) (name ^ " counter") n
+                      (local_counter sc "test.domains_counter");
+                    (match List.assoc_opt "test.domains_gauge" items with
+                    | Some (M.M_gauge lg) ->
+                      Alcotest.(check (float 0.)) (name ^ " gauge") (float_of_int n)
+                        (M.Gauge.get lg)
+                    | _ -> Alcotest.failf "%s: no local gauge" name);
+                    match List.assoc_opt "test.domains_latency" items with
+                    | Some (M.M_histogram lh) ->
+                      Alcotest.(check int) (name ^ " histogram") n (M.Histogram.count lh)
+                    | _ -> Alcotest.failf "%s: no local histogram" name)
+                  [ a; b ]))) ]
 
 (* --- lifecycle: drop and reset ----------------------------------------- *)
 
@@ -182,7 +221,7 @@ let make_snapshot_ctx () =
 
 let heat_tests =
   [ Alcotest.test_case "root heat partitions storage.page_reads exactly" `Quick (fun () ->
-        Storage.Stats.reset Storage.Stats.global;
+        M.reset_all ();
         let ctx = make_snapshot_ctx () in
         ignore
           (Rql.collate_data ctx ~qs:"SELECT snap_id FROM SnapIds"

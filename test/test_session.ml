@@ -170,7 +170,48 @@ let parallel_rql =
         List.iter
           (fun (it : IS.iteration) ->
             Alcotest.(check bool) "io_s >= 0" true (it.IS.io_s >= 0.))
-          run.IS.iterations) ]
+          run.IS.iterations);
+    Alcotest.test_case "sequential and parallel loops report the same breakdown" `Quick
+      (fun () ->
+        let ctx, _st, _ =
+          Tpch.Workload.build_history ~sf:0.002 ~uw:Tpch.Workload.uw30 ~snapshots:5 ()
+        in
+        (* lineitem has no native index on l_partkey: every evaluation
+           builds the automatic covering index (Fig 9) *)
+        let qq =
+          "SELECT p_brand, COUNT(*) AS c FROM part, lineitem WHERE p_partkey = l_partkey \
+           GROUP BY p_brand"
+        in
+        let pagelog_reads () = Obs.Scope.get Storage.Stats.c_pagelog_reads in
+        let run domains =
+          let p0 = pagelog_reads () in
+          let run =
+            Rql.aggregate_data_in_table ~domains ctx ~qs:"SELECT snap_id FROM SnapIds" ~qq
+              ~table:(Printf.sprintf "B%d" domains) ~aggs:[ ("c", "sum") ]
+          in
+          (run.IS.iterations, pagelog_reads () - p0)
+        in
+        let seq, seq_reads = run 1 and par, par_reads = run 4 in
+        let ints f its = List.map f its in
+        let sum f its = List.fold_left (fun a it -> a +. f it) 0. its in
+        let isum f its = List.fold_left (fun a it -> a + f it) 0 its in
+        Alcotest.(check (list int)) "snapshot order" (ints (fun it -> it.IS.snap_id) seq)
+          (ints (fun it -> it.IS.snap_id) par);
+        Alcotest.(check (list int)) "udf_rows" (ints (fun it -> it.IS.udf_rows) seq)
+          (ints (fun it -> it.IS.udf_rows) par);
+        Alcotest.(check (list int)) "udf_inserts" (ints (fun it -> it.IS.udf_inserts) seq)
+          (ints (fun it -> it.IS.udf_inserts) par);
+        Alcotest.(check (list int)) "udf_updates" (ints (fun it -> it.IS.udf_updates) seq)
+          (ints (fun it -> it.IS.udf_updates) par);
+        List.iter
+          (fun (name, its, reads) ->
+            Alcotest.(check bool) (name ^ ": spt_build_s > 0") true
+              (sum (fun it -> it.IS.spt_build_s) its > 0.);
+            Alcotest.(check bool) (name ^ ": index_build_s > 0") true
+              (sum (fun it -> it.IS.index_build_s) its > 0.);
+            Alcotest.(check int) (name ^ ": pagelog reads = root counter delta") reads
+              (isum (fun it -> it.IS.pagelog_reads) its))
+          [ ("sequential", seq, seq_reads); ("parallel", par, par_reads) ]) ]
 
 let () =
   Alcotest.run "session"

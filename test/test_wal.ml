@@ -316,7 +316,8 @@ let txn_failure_tests =
         e db "INSERT INTO t VALUES (1)";
         let pager = db.Sqldb.Db.pager in
         let orig = pager.Storage.Pager.pre_commit_hook in
-        let before = S.snapshot () in
+        let ap0 = cget S.c_wal_appends and cm0 = cget S.c_txn_commits in
+        let ab0 = cget S.c_txn_aborts in
         pager.Storage.Pager.pre_commit_hook <- (fun _ -> failwith "archiver down");
         e db "BEGIN";
         e db "INSERT INTO t VALUES (2)";
@@ -327,10 +328,9 @@ let txn_failure_tests =
            with Failure m -> m = "archiver down");
         pager.Storage.Pager.pre_commit_hook <- orig;
         e db "ROLLBACK";
-        let d = S.diff (S.snapshot ()) before in
-        Alcotest.(check int) "nothing logged" 0 d.S.wal_appends;
-        Alcotest.(check int) "nothing committed" 0 d.S.txn_commits;
-        Alcotest.(check int) "one abort" 1 d.S.txn_aborts;
+        Alcotest.(check int) "nothing logged" 0 (cget S.c_wal_appends - ap0);
+        Alcotest.(check int) "nothing committed" 0 (cget S.c_txn_commits - cm0);
+        Alcotest.(check int) "one abort" 1 (cget S.c_txn_aborts - ab0);
         Alcotest.(check int) "state untouched" 1 (count db "SELECT COUNT(*) FROM t");
         check_clean "integrity" db;
         Sqldb.Db.close_wal db;
@@ -344,15 +344,15 @@ let txn_failure_tests =
         let db, _ = Sqldb.Db.open_wal ~path () in
         e db "CREATE TABLE t (a INTEGER)";
         e db "INSERT INTO t VALUES (1)";
-        let before = S.snapshot () in
+        let ap0 = cget S.c_wal_appends and fs0 = cget S.c_wal_fsyncs in
+        let ab0 = cget S.c_txn_aborts in
         e db "BEGIN";
         e db "INSERT INTO t VALUES (2)";
         e db "UPDATE t SET a = 99";
         e db "ROLLBACK";
-        let d = S.diff (S.snapshot ()) before in
-        Alcotest.(check int) "nothing logged" 0 d.S.wal_appends;
-        Alcotest.(check int) "no fsync" 0 d.S.wal_fsyncs;
-        Alcotest.(check int) "one abort" 1 d.S.txn_aborts;
+        Alcotest.(check int) "nothing logged" 0 (cget S.c_wal_appends - ap0);
+        Alcotest.(check int) "no fsync" 0 (cget S.c_wal_fsyncs - fs0);
+        Alcotest.(check int) "one abort" 1 (cget S.c_txn_aborts - ab0);
         Alcotest.(check int) "row count untouched" 1 (count db "SELECT COUNT(*) FROM t");
         Alcotest.(check int) "value untouched" 1 (count db "SELECT SUM(a) FROM t");
         Sqldb.Db.close_wal db;
