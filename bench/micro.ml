@@ -247,7 +247,10 @@ let qq_cpu_opt =
    loop — sql.opt_invariant_hoists; the optimized run must not be
    slower than `PRAGMA optimize = off` (gate: p50 on <= 1.05 x off);
    and both settings must produce the identical result table (the
-   differential contract of test_opt.ml, re-checked on TPC-H data). *)
+   differential contract of test_opt.ml, re-checked on TPC-H data).
+   The bench Qq_cpu must also reuse lineitem pages through the
+   evaluator's inner-side memo with the optimizer on, never with it
+   off, and agree exactly across the two settings. *)
 let run_opt_smoke () =
   Util.section "Optimizer smoke: fold/hoist counters + optimized Qq_cpu latency";
   let fx =
@@ -285,6 +288,18 @@ let run_opt_smoke () =
   workload ();
   let rows_off = result () in
   let identical = rows_on = rows_off in
+  let c_reused = Obs.Metrics.counter "sql.inner_pages_reused" in
+  let qq_cpu_result on =
+    set on;
+    let r0 = Obs.Metrics.Counter.get c_reused in
+    ignore
+      (Rql.aggregate_data_in_variable ctx ~qs:(Queries.qs_n 5) ~qq:Queries.qq_cpu
+         ~table:"bench_opt" ~fn:"sum");
+    (result (), Obs.Metrics.Counter.get c_reused - r0)
+  in
+  let memo_rows, reused = qq_cpu_result true in
+  let rebuilt_rows, reused_off = qq_cpu_result false in
+  let memo_identical = memo_rows = rebuilt_rows in
   let folds = Obs.Metrics.Counter.get c_folds - folds0 in
   let hoists = Obs.Metrics.Counter.get c_hoists - hoists0 in
   let time f =
@@ -313,6 +328,9 @@ let run_opt_smoke () =
   Printf.printf "Qq_cpu(foldable) p50-of-%d: optimize=on %.4fs, off %.4fs, ratio %.3f (gate: <= 1.05)\n"
     reps p50_on p50_off ratio;
   Printf.printf "result tables identical across settings: %b\n" identical;
+  Printf.printf
+    "Qq_cpu inner-side memo: %d lineitem pages reused (off: %d); identical to optimize=off: %b\n"
+    reused reused_off memo_identical;
   Util.record_analysis ~label:"opt_smoke"
     (Obs.Json.Obj
        [ ("opt_folds", Obs.Json.Int folds);
@@ -320,10 +338,16 @@ let run_opt_smoke () =
          ("p50_on_s", Obs.Json.Float p50_on);
          ("p50_off_s", Obs.Json.Float p50_off);
          ("ratio", Obs.Json.Float ratio);
-         ("identical", Obs.Json.Bool identical) ]);
+         ("identical", Obs.Json.Bool identical);
+         ("inner_pages_reused", Obs.Json.Int reused);
+         ("inner_pages_reused_off", Obs.Json.Int reused_off);
+         ("memo_identical", Obs.Json.Bool memo_identical) ]);
   if folds <= 0 then failwith "opt smoke: sql.opt_folds did not advance";
   if hoists <= 0 then failwith "opt smoke: sql.opt_invariant_hoists did not advance";
   if not identical then failwith "opt smoke: optimize=on and off results diverge";
+  if reused <= 0 then failwith "opt smoke: sql.inner_pages_reused did not advance";
+  if reused_off <> 0 then failwith "opt smoke: the inner-side memo ran with optimize=off";
+  if not memo_identical then failwith "opt smoke: memoised Qq_cpu diverges from optimize=off";
   if ratio > 1.05 then
     failwith
       (Printf.sprintf "opt smoke: optimized p50 %.1f%% over the optimize=off baseline"

@@ -125,11 +125,15 @@ let prepare_qq db qq =
   | exception Sq.Engine.Error msg -> error "Qq rejected: %s" msg
 
 (* Open an evaluator on a fresh session of [data], inheriting its
-   optimizer setting; [analyze] instruments the session's plans. *)
+   optimizer setting; [analyze] instruments the session's plans.  The
+   session carries the join inner-side memo (Exec.build_inner), so
+   consecutive snapshots reuse the automatic index's unchanged pages;
+   closing the session frees it. *)
 let open_evaluator ~analyze ~(data : Sq.Db.t) qq =
   let db = Sq.Db.session data in
   db.Sq.Db.optimize <- data.Sq.Db.optimize;
   db.Sq.Db.analyze <- analyze;
+  db.Sq.Db.inner_memos <- Some (Hashtbl.create 4);
   match prepare_qq db qq with
   | e_prep -> { e_db = db; e_prep }
   | exception e ->

@@ -176,11 +176,8 @@ let build_spt t snap_id =
     Obs.Trace.with_span ~name:"spt_build"
       ~attrs:[ ("snap_id", Obs.Trace.Int snap_id) ]
       (fun () ->
-        let scanned0 = Obs.Scope.get Storage.Stats.c_maplog_scanned in
         let spt = Spt.build t.maplog snap_id in
-        Obs.Trace.set_attrs
-          [ ("maplog_scanned",
-             Obs.Trace.Int (Obs.Scope.get Storage.Stats.c_maplog_scanned - scanned0)) ];
+        Obs.Trace.set_attrs [ ("maplog_scanned", Obs.Trace.Int spt.Spt.scan_len) ];
         let len = Maplog.length t.maplog in
         t.last_spt <- Some (snap_id, len);
         if t.spt_cache_on then

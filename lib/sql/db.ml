@@ -27,6 +27,23 @@ let error fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
 
 type fn = R.value array -> R.value
 
+(* Per-page memo of a join's inner side (Exec.build_inner): the page
+   image the entries were decoded from, its live-slot count, and the
+   rows that passed the inner filters with their encoded join keys, in
+   slot order. *)
+type memo_page = {
+  m_image : Bytes.t;
+  m_live : int;
+  m_entries : (string * R.row) array;
+}
+
+(* One join's memo: the (filters, keys) signature its entries were
+   computed under, and the pages of the last build, by page id. *)
+type inner_memo = {
+  im_sig : Ast.expr list * Ast.expr list;
+  mutable im_pages : (int, memo_page) Hashtbl.t;
+}
+
 type core = {
   c_pager : Storage.Pager.t;
   c_retro : Retro.t option;
@@ -82,6 +99,10 @@ and t = {
      scope (process-wide accounting, exactly the pre-scope behavior);
      a per-connection session installs a child scope here. *)
   mutable scope : Obs.Scope.t;
+  (* Inner-side memos keyed by (heap id, join op id); [Some] only on an
+     RQL evaluator session (Rql.open_evaluator), for the session's
+     lifetime. *)
+  mutable inner_memos : (int * int, inner_memo) Hashtbl.t option;
 }
 
 and session_info = { si_id : int; si_handle : t }
@@ -111,7 +132,8 @@ let make_session core =
       slow_query_s = None;
       last_analysis = None;
       optimize = true;
-      scope = Obs.Scope.root }
+      scope = Obs.Scope.root;
+      inner_memos = None }
   in
   core.c_sessions <- { si_id = id; si_handle = db } :: core.c_sessions;
   db
@@ -160,6 +182,7 @@ let sessions t =
    counters drop out of sys_sessions, and its scope folds into its
    parent's "(dropped)" bucket. *)
 let close_session t =
+  t.inner_memos <- None;
   locked_core t.core (fun () ->
       t.core.c_sessions <-
         List.filter (fun si -> si.si_id <> t.session_id) t.core.c_sessions);

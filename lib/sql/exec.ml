@@ -158,6 +158,92 @@ let index_scan env (tbl : Catalog.table) (idx : Catalog.index) bounds ~f =
 let eval_bounds fnctx bounds =
   List.map (fun (i, op, e) -> (i, op, Expr.eval_const fnctx e)) bounds
 
+(* --- join inner sides ---------------------------------------------------- *)
+
+let c_inner_pages_reused = Obs.Scope.counter "sql.inner_pages_reused"
+
+(* Whether memoised entries computed under these expressions are a
+   function of the page image alone: no parameters, no (expanded)
+   subqueries, only pure builtin calls. *)
+let memoizable db exprs =
+  let pure_fn = Opt.pure_fn ~is_udf:(Db.is_udf db) in
+  let exception Impure in
+  let check = function
+    | Param _ | Subquery _ | In_select _ | Exists _ | In_set _ -> raise Impure
+    | Call (n, _) when not (pure_fn n) -> raise Impure
+    | e -> e
+  in
+  match List.iter (fun e -> ignore (Expr.map check e)) exprs with
+  | () -> true
+  | exception Impure -> false
+
+(* The memo a join's inner-side build may reuse: only on a memo-carrying
+   session (an RQL evaluator) with the optimizer on, over a real table
+   read AS OF a snapshot (so every image is an immutable committed or
+   archived page, never a transaction's working copy), under pure
+   filters and keys.  A memo recorded under another signature is
+   replaced, so it misses. *)
+let inner_memo env (op : Plan.op) (t : Catalog.table) ~filters ~keys =
+  match env.db.Db.inner_memos with
+  | Some memos
+    when env.db.Db.optimize && env.as_of <> None && not (is_virtual t)
+         && memoizable env.db (filters @ keys) -> (
+    let id = (t.Catalog.theap, op.Plan.op_id) and im_sig = (filters, keys) in
+    match Hashtbl.find_opt memos id with
+    | Some m when m.Db.im_sig = im_sig -> Some m
+    | _ ->
+      let m = { Db.im_sig; im_pages = Hashtbl.create 0 } in
+      Hashtbl.replace memos id m;
+      Some m)
+  | _ -> None
+
+(* Build a join's inner side: hand every row of [t] that passes
+   [filters] to [add], with its encoded [keys] ("" when there are
+   none), in chain and slot order.  With a memo, every page is still
+   read (page reads and heat are unchanged), but a page whose image is
+   the memoised one — physically, or byte for byte — replays its
+   entries instead of being decoded and filtered again; the memo then
+   holds exactly this walk's pages.  Entries replay in the order a
+   fresh scan yields them, so hash buckets, and the float sums over
+   them, come out identical. *)
+let build_inner env (op : Plan.op) (t : Catalog.table) ~filters ~keys ~add =
+  let fnctx = Db.fn_ctx env.db in
+  let feval row e = Expr.eval fnctx ~row ~aggs:[||] e in
+  let pass row = List.for_all (fun r -> Expr.truth (feval row r) = Some true) filters in
+  let key_of =
+    if keys = [] then fun _ -> ""
+    else fun row -> R.encode_row (Array.of_list (List.map (feval row) keys))
+  in
+  match inner_memo env op t ~filters ~keys with
+  | None -> scan_rows env t ~f:(fun _rid row -> if pass row then add (key_of row) row)
+  | Some m ->
+    let pages = Hashtbl.create (max 16 (Hashtbl.length m.Db.im_pages)) in
+    attributed env t (fun () ->
+        Storage.Heap.iter_pages env.read (heap_of env t) ~f:(fun pid image ->
+            let mp =
+              match Hashtbl.find_opt m.Db.im_pages pid with
+              | Some mp when mp.Db.m_image == image || Bytes.equal mp.Db.m_image image ->
+                Obs.Scope.incr c_inner_pages_reused;
+                Obs.Scope.add c_rows_scanned mp.Db.m_live;
+                { mp with Db.m_image = image }
+              | _ ->
+                let live = ref 0 and entries = ref [] in
+                Storage.Page.iter image ~f:(fun _slot data ->
+                    incr live;
+                    let row = R.decode_row data in
+                    if pass row then entries := (key_of row, row) :: !entries);
+                Obs.Scope.add c_rows_scanned !live;
+                { Db.m_image = image; m_live = !live; m_entries = Array.of_list (List.rev !entries) }
+            in
+            Array.iter (fun (k, row) -> add k row) mp.Db.m_entries;
+            Hashtbl.replace pages pid mp));
+    m.Db.im_pages <- pages
+
+let hash_add tbl k row =
+  match Hashtbl.find_opt tbl k with
+  | Some l -> l := row :: !l
+  | None -> Hashtbl.add tbl k (ref [ row ])
+
 (* --- aggregation -------------------------------------------------------- *)
 
 type agg_acc = {
@@ -467,9 +553,6 @@ and stream_core env (c : Plan.core) : string array * ((R.row -> unit) -> unit) =
         | Plan.Left_hash { equi; inner_filters; residual } ->
           let n_inner = Array.length t.Catalog.tcols in
           let nulls = Array.make n_inner R.Null in
-          let right_key_of row =
-            R.encode_row (Array.of_list (List.map (fun (_, rb) -> feval row rb) equi))
-          in
           let left_key_of row =
             R.encode_row (Array.of_list (List.map (fun (la, _) -> feval row la) equi))
           in
@@ -477,17 +560,13 @@ and stream_core env (c : Plan.core) : string array * ((R.row -> unit) -> unit) =
              exist — the automatic-index analogue, timed as index build *)
           let tbl_hash : (string, R.row list ref) Hashtbl.t = Hashtbl.create 256 in
           let all_inner = ref [] in
-          let build () =
-            scan_rows env t ~f:(fun _rid row ->
-                if pass inner_filters row then
-                  if equi = [] then all_inner := row :: !all_inner
-                  else
-                    let k = right_key_of row in
-                    match Hashtbl.find_opt tbl_hash k with
-                    | Some l -> l := row :: !l
-                    | None -> Hashtbl.add tbl_hash k (ref [ row ]))
+          let add k row =
+            if equi = [] then all_inner := row :: !all_inner else hash_add tbl_hash k row
           in
-          charge_build js.Plan.j_op (fun () -> Exec_stats.time_index build);
+          charge_build js.Plan.j_op (fun () ->
+              Exec_stats.time_index (fun () ->
+                  build_inner env js.Plan.j_op t ~filters:inner_filters
+                    ~keys:(List.map snd equi) ~add));
           let emit = probed js.Plan.j_op emit in
           fun f ->
             emit (fun lrow ->
@@ -512,7 +591,8 @@ and stream_core env (c : Plan.core) : string array * ((R.row -> unit) -> unit) =
           (* cross/theta join: materialize the (filtered) inner table *)
           let inner = ref [] in
           charge_build js.Plan.j_op (fun () ->
-              scan_rows env t ~f:(fun _rid row -> if pass filters row then inner := row :: !inner));
+              build_inner env js.Plan.j_op t ~filters ~keys:[] ~add:(fun _ row ->
+                  inner := row :: !inner));
           let inner = Array.of_list (List.rev !inner) in
           fun f -> emit (fun lrow -> Array.iter (fun rrow -> f (Array.append lrow rrow)) inner)
         | Plan.Index_probe { ix; equi; filters } ->
@@ -529,23 +609,15 @@ and stream_core env (c : Plan.core) : string array * ((R.row -> unit) -> unit) =
         | Plan.Hash_join { equi; filters } ->
           (* automatic ephemeral index over the inner table (SQLite's
              covering-index analogue); built once per execution. *)
-          let left_keys = List.map fst equi and right_keys = List.map snd equi in
-          let right_key_of row =
-            R.encode_row (Array.of_list (List.map (feval row) right_keys))
-          in
+          let left_keys = List.map fst equi in
           let left_key_of row =
             R.encode_row (Array.of_list (List.map (feval row) left_keys))
           in
           let tbl_hash : (string, R.row list ref) Hashtbl.t = Hashtbl.create 1024 in
-          let build () =
-            scan_rows env t ~f:(fun _rid row ->
-                if pass filters row then
-                  let k = right_key_of row in
-                  match Hashtbl.find_opt tbl_hash k with
-                  | Some l -> l := row :: !l
-                  | None -> Hashtbl.add tbl_hash k (ref [ row ]))
-          in
-          charge_build js.Plan.j_op (fun () -> Exec_stats.time_index build);
+          charge_build js.Plan.j_op (fun () ->
+              Exec_stats.time_index (fun () ->
+                  build_inner env js.Plan.j_op t ~filters ~keys:(List.map snd equi)
+                    ~add:(hash_add tbl_hash)));
           let emit = probed js.Plan.j_op emit in
           fun f ->
             emit (fun lrow ->

@@ -489,12 +489,15 @@ let rec any_empty (p : Plan.t) : bool =
 
 (* --- entry point -------------------------------------------------------- *)
 
+(* A builtin not shadowed by a session UDF: deterministic, no effects. *)
+let pure_fn ~is_udf name = (not (is_udf name)) && Func.find name <> None
+
 (* Optimize a freshly planned [p].  Returns the rewritten plan (with
    [p_opt] describing what happened) and the W2xx warnings produced.
    [is_udf] must answer whether a name is shadowed by a session UDF, so
    folding never bypasses user functions. *)
 let optimize ~fnctx ~is_udf (p : Plan.t) : Plan.t * Diag.t list =
-  let pure_fn name = (not (is_udf name)) && Func.find name <> None in
+  let pure_fn = pure_fn ~is_udf in
   let st =
     { actx = Absint.make_ctx ~fnctx ~pure_fn; pruned = 0; diags = []; notes = [] }
   in

@@ -148,14 +148,17 @@ let update txn t rid data =
     `Moved (insert txn t data)
   end
 
-let iter (read : Pager.read) t ~f =
+let iter_pages (read : Pager.read) t ~f =
   let rec go pid =
     let p = read pid in
-    Page.iter p ~f:(fun slot data -> f (rid_of ~pid ~slot) data);
+    f pid p;
     let next = Page.next p in
     if next >= 0 then go next
   in
   go t.first_page
+
+let iter read t ~f =
+  iter_pages read t ~f:(fun pid p -> Page.iter p ~f:(fun slot data -> f (rid_of ~pid ~slot) data))
 
 (* Iteration with early exit: [f] returns [false] to stop. *)
 let iter_while (read : Pager.read) t ~f =
@@ -179,13 +182,10 @@ let count (read : Pager.read) t =
   !n
 
 (* Number of pages in the chain (memory/size experiments). *)
-let page_count (read : Pager.read) t =
-  let rec go pid acc =
-    let p = read pid in
-    let next = Page.next p in
-    if next < 0 then acc + 1 else go next (acc + 1)
-  in
-  go t.first_page 0
+let page_count read t =
+  let n = ref 0 in
+  iter_pages read t ~f:(fun _ _ -> incr n);
+  !n
 
 (* Release every page of the chain (DROP TABLE). *)
 let drop txn t =

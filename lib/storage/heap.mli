@@ -41,6 +41,10 @@ val delete : Txn.t -> t -> int -> bool
     ([`Moved] carries the new rid). *)
 val update : Txn.t -> t -> int -> string -> [ `Same | `Moved of int ]
 
+(** Visit every page of the chain in order, with its id and image
+    (read through [read], so each page is read exactly once). *)
+val iter_pages : Pager.read -> t -> f:(int -> Bytes.t -> unit) -> unit
+
 (** Visit every live row in chain order. *)
 val iter : Pager.read -> t -> f:(int -> string -> unit) -> unit
 

@@ -79,7 +79,11 @@ let grow t wanted =
   end
 
 (* Committed image of a page.  Callers must treat the result as
-   read-only; Txn copies before mutating. *)
+   read-only; Txn copies before mutating and [install] stores a new
+   buffer, so a reader may keep an image (the RQL join memo compares
+   images physically).  test_vacuum's "images" case checks that no
+   commit, vacuum, checkpoint or abort changes one in place; only the
+   [corrupt_page] test hook does. *)
 let read_committed t pid =
   if pid < 0 || pid >= t.n_pages then
     invalid_arg (Printf.sprintf "Pager.read_committed: page %d/%d" pid t.n_pages);

@@ -53,7 +53,8 @@ val with_write_lock : t -> (unit -> 'a) -> 'a
 val n_pages : t -> int
 
 (** Committed image; treat as read-only ({!Txn} copies before
-    mutating).
+    mutating, and a commit installs a new buffer, so a reader may keep
+    the image: it never changes in place).
     @raise Invalid_argument on an unallocated page. *)
 val read_committed : t -> int -> Bytes.t
 

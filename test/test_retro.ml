@@ -141,7 +141,46 @@ let basic =
           (try
              ignore (Retro.build_spt retro 1);
              false
-           with Invalid_argument _ -> true)) ]
+           with Invalid_argument _ -> true));
+    (* The spt_build span's maplog_scanned attribute is the build's own
+       scan length, even while another domain charges the same
+       counter. *)
+    Alcotest.test_case "spt_build span reports its own scan" `Quick (fun () ->
+        let pager, retro, heap = setup () in
+        insert pager heap [ "a" ];
+        let s1 = Retro.declare retro in
+        insert pager heap [ "b"; "c" ];
+        ignore (Retro.declare retro);
+        insert pager heap [ "d" ];
+        let stop = Atomic.make false in
+        let noise =
+          Domain.spawn (fun () ->
+              while not (Atomic.get stop) do
+                Obs.Scope.add S.c_maplog_scanned 1
+              done)
+        in
+        Obs.Trace.set_enabled true;
+        let m = Obs.Trace.mark () in
+        let builds = 50 in
+        let spts =
+          Fun.protect
+            ~finally:(fun () ->
+              Obs.Trace.set_enabled false;
+              Atomic.set stop true;
+              Domain.join noise)
+            (fun () -> List.init builds (fun _ -> Retro.build_spt retro s1))
+        in
+        let want = Obs.Trace.Int (List.hd spts).Spt.scan_len in
+        let got =
+          List.filter_map
+            (fun (sp : Obs.Trace.span) ->
+              if sp.Obs.Trace.name = "spt_build" then List.assoc_opt "maplog_scanned" sp.attrs
+              else None)
+            (Obs.Trace.spans_since m)
+        in
+        Alcotest.(check int) "one span per build" builds (List.length got);
+        Alcotest.(check bool) "every span carries the build's scan length" true
+          (List.for_all (fun a -> a = want) got)) ]
 
 (* --- the central property ----------------------------------------------- *)
 

@@ -392,9 +392,72 @@ let retry_tests =
         Alcotest.(check int) "reads recover once disarmed" 2
           (count db "SELECT AS OF 1 SUM(v) FROM t")) ]
 
+(* --- immutable page images -------------------------------------------- *)
+
+(* Readers may hold on to the page images Pager.read_committed and
+   Retro's snapshot reads hand out (the join inner-side memo of an RQL
+   evaluator compares them physically), so no later commit, vacuum,
+   checkpoint or abort may change one in place. *)
+let image_tests =
+  [ Alcotest.test_case "page images handed to readers are never mutated" `Quick (fun () ->
+        let path = fresh "vacuum_images.wal" in
+        let db, _ = Sqldb.Db.open_wal ~path () in
+        let ctx = Rql.create ~data:db () in
+        let st = Tpch.Dbgen.generate db ~sf:0.001 in
+        let uw_rounds n = ignore (Tpch.Workload.run ctx st ~uw:Tpch.Workload.uw30 ~snapshots:n) in
+        let pager = db.Sqldb.Db.pager and retro = retro_of db in
+        (* every distinct image seen, with a private copy of its bytes *)
+        let kept : (int, (Bytes.t * Bytes.t) list) Hashtbl.t = Hashtbl.create 1024 in
+        let keep pid img =
+          let seen = Option.value (Hashtbl.find_opt kept pid) ~default:[] in
+          if not (List.exists (fun (i, _) -> i == img) seen) then
+            Hashtbl.replace kept pid ((img, Bytes.copy img) :: seen)
+        in
+        let capture () =
+          for pid = 0 to Storage.Pager.n_pages pager - 1 do
+            if Storage.Pager.committed_exists pager pid then
+              keep pid (Storage.Pager.read_committed pager pid)
+          done;
+          for sid = Retro.first_live retro to Retro.snapshot_count retro do
+            let spt = Retro.build_spt retro sid in
+            let read = Retro.read_ctx retro spt in
+            for pid = 0 to spt.Retro.Spt.db_pages - 1 do
+              match read pid with
+              | img -> keep pid img
+              | exception Invalid_argument _ -> () (* free in that snapshot *)
+            done
+          done
+        in
+        uw_rounds 3;
+        capture ();
+        uw_rounds 2;
+        capture ();
+        e db "VACUUM SNAPSHOTS KEEPING LAST 3";
+        capture ();
+        e db "CHECKPOINT";
+        capture ();
+        e db "BEGIN";
+        e db "UPDATE lineitem SET l_quantity = l_quantity + 1 WHERE l_orderkey < 100";
+        e db "DELETE FROM orders WHERE o_orderkey < 50";
+        e db "INSERT INTO region VALUES (9, 'NOWHERE', 'aborted')";
+        e db "ROLLBACK";
+        uw_rounds 1;
+        let images, changed =
+          Hashtbl.fold
+            (fun _ l (n, bad) ->
+              ( n + List.length l,
+                bad + List.length (List.filter (fun (i, c) -> not (Bytes.equal i c)) l) ))
+            kept (0, 0)
+        in
+        Alcotest.(check bool) "archived images were captured too" true
+          (images > Storage.Pager.n_pages pager);
+        Alcotest.(check int) "images changed in place" 0 changed;
+        Sqldb.Db.close_wal db) ]
+
 let () =
   Alcotest.run "vacuum"
     [ ("vacuum", vacuum_tests);
       ("checkpoint", checkpoint_tests);
       ("concurrency", concurrency_tests);
-      ("read-retries", retry_tests) ]
+      ("read-retries", retry_tests);
+      ("images", image_tests) ]
